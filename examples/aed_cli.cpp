@@ -48,6 +48,7 @@
 // Exit codes: 0 success, 1 usage error, 2 synthesis failure, 3 partial
 // (patch returned but some subproblem degraded or failed).
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -125,6 +126,9 @@ struct ObsFlush {
 /// answered, why, and what it cost the solver.
 void printSolverStats(const aed::AedResult& result) {
   std::cout << "solver stats (per subproblem):\n";
+  // Z3's "max memory" statistic is the whole process's high-water mark, not
+  // one subproblem's footprint, so it is printed once.
+  double z3HighWaterMb = 0.0;
   for (const aed::SubproblemReport& report : result.subproblems) {
     const aed::SolverStats& stats = report.solverStats;
     std::cout << "  subproblem " << report.index << " (" << report.destination
@@ -132,24 +136,23 @@ void printSolverStats(const aed::AedResult& result) {
               << stats.checks << " checks, " << stats.conflicts
               << " conflicts, " << stats.decisions << " decisions, "
               << stats.restarts << " restarts, " << stats.vars << " vars, "
-              << stats.assertions << " assertions";
-    if (stats.maxMemoryMb > 0.0) {
-      std::cout << ", " << stats.maxMemoryMb << " MB peak";
-    }
-    std::cout << "\n";
+              << stats.assertions << " assertions\n";
     if (!report.rungReason.empty()) {
       std::cout << "    why: " << report.rungReason << "\n";
     }
+    z3HighWaterMb = std::max(z3HighWaterMb, stats.maxMemoryMb);
   }
   std::cout << "  rung totals:";
-  static const char* kRungLabels[] = {"none",      "warm-start", "full",
-                                      "no-minimality", "hard-only", "unsat",
-                                      "gave-up"};
   for (std::size_t i = 0; i < result.stats.rungCounts.size(); ++i) {
     if (result.stats.rungCounts[i] == 0) continue;
-    std::cout << " " << kRungLabels[i] << "=" << result.stats.rungCounts[i];
+    std::cout << " " << aed::solveRungName(static_cast<aed::SolveRung>(i))
+              << "=" << result.stats.rungCounts[i];
   }
   std::cout << "\n";
+  if (z3HighWaterMb > 0.0) {
+    std::cout << "  Z3 memory high-water mark (whole process): "
+              << z3HighWaterMb << " MB\n";
+  }
 }
 
 }  // namespace
@@ -286,7 +289,10 @@ int main(int argc, char** argv) {
 
     std::cout << "\npatch (" << result.patch.size() << " edits, "
               << result.stats.totalSeconds << "s, "
-              << result.stats.subproblems << " subproblems):\n"
+              << result.stats.subproblems << " subproblems, "
+              << result.stats.rungCounts[static_cast<std::size_t>(
+                     SolveRung::kPrecheck)]
+              << " skipped (policies already hold)):\n"
               << result.patch.describe();
     const auto printPhases = [](const char* label, const PhaseBreakdown& p) {
       std::cout << "  " << label << ": sketch " << p.sketchSeconds

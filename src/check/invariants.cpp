@@ -10,6 +10,8 @@
 #include "apply/plan.hpp"
 #include "conftree/journal.hpp"
 #include "conftree/printer.hpp"
+#include "core/subsolver.hpp"
+#include "objectives/objective.hpp"
 #include "simulate/engine.hpp"
 #include "simulate/simulator.hpp"
 #include "util/error.hpp"
@@ -33,6 +35,7 @@ constexpr InvariantInfo kInvariantTable[] = {
     {Invariant::kResynthNoOp, "resynth-noop"},
     {Invariant::kPolicyOrder, "policy-order"},
     {Invariant::kRouterOrder, "router-order"},
+    {Invariant::kSkipEquiv, "skip-equiv"},
 };
 
 std::vector<std::string> policyStrings(const PolicySet& policies) {
@@ -98,6 +101,9 @@ class Checker {
     checkBaseSimulation();
     obtainPatch();
     checkPatchInvariants();
+    if (want(Invariant::kSkipEquiv)) {
+      guarded(Invariant::kSkipEquiv, [&] { checkSkipEquivalence(); });
+    }
     out_.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -396,6 +402,81 @@ class Checker {
       });
     } else if (want(Invariant::kIncrementalEquiv) && scenario_.patch) {
       skip(Invariant::kIncrementalEquiv);
+    }
+  }
+
+  // ---- pre-check soundness ----
+
+  /// Re-answers every group a synthesis run skipped with a full MaxSMT
+  /// solve, once without objectives and once with a mix of all three
+  /// restrictions. Without this, resynth-noop is vacuous: every group of an
+  /// already-patched network is skipped.
+  void checkSkipEquivalence() {
+    std::vector<Objective> mix = objectivesMinDevices();
+    for (const auto& more :
+         {objectivesPreserveTemplates(), objectivesAvoidStaticRoutes(),
+          objectivesMinPacketFilters()}) {
+      mix.insert(mix.end(), more.begin(), more.end());
+    }
+    const AedOptions options = scenario_.options();
+    const Topology topo = Topology::fromConfigs(scenario_.tree);
+    std::map<std::string, PolicySet> groups;
+    for (auto& [dst, group] : groupByDestination(scenario_.policies)) {
+      groups.emplace(dst.str(), std::move(group));
+    }
+    const AedOptions subOptions = subproblemOptions(options, groups.size());
+
+    for (const std::vector<Objective>& objectives :
+         {std::vector<Objective>{}, mix}) {
+      const std::string with = objectives.empty() ? "without objectives"
+                                                  : "with the objective mix";
+      const AedResult result =
+          synthesize(scenario_.tree, scenario_.policies, objectives, options);
+      for (const SubproblemReport& report : result.subproblems) {
+        if (report.rung != SolveRung::kPrecheck) continue;
+        const std::string where = "group " + report.destination + " " + with;
+        const PolicySet& group = groups.at(report.destination);
+        SubproblemSolver fast(scenario_.tree, topo, group, objectives,
+                              subOptions);
+        const std::optional<SubResult> skipped = fast.precheck();
+        if (!skipped) {
+          fail(Invariant::kSkipEquiv, "not-reproducible",
+               where + ": a fresh pre-check no longer skips it");
+          return;
+        }
+        SubproblemSolver full(scenario_.tree, topo, group, objectives,
+                              subOptions);
+        const SubResult solved = full.solve({}, Deadline::unlimited());
+        if (solved.outcome != SubOutcome::kOk) {
+          fail(Invariant::kSkipEquiv, "outcome",
+               where + ": full solve answered " +
+                   subOutcomeName(solved.outcome) + " (" + solved.detail +
+                   ")");
+          return;
+        }
+        if (!solved.patch.empty()) {
+          fail(Invariant::kSkipEquiv, "non-empty",
+               where + ": full solve found a patch of " +
+                   std::to_string(solved.patch.size()) +
+                   " edits: " + solved.patch.describe());
+          return;
+        }
+        if (!solved.violated.empty()) {
+          fail(Invariant::kSkipEquiv, "violated",
+               where + ": full solve violates " + summarize(solved.violated));
+          return;
+        }
+        std::vector<std::string> expected = solved.satisfied;
+        std::vector<std::string> reported = skipped->satisfied;
+        std::sort(expected.begin(), expected.end());
+        std::sort(reported.begin(), reported.end());
+        if (expected != reported) {
+          fail(Invariant::kSkipEquiv, "labels",
+               where + ": satisfied objectives differ, " +
+                   firstDifference(expected, reported));
+          return;
+        }
+      }
     }
   }
 

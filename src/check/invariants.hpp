@@ -22,6 +22,11 @@
 //                    printed network as the one-shot merged apply
 //   incremental-equiv the incremental re-solve result is policy-equivalent
 //                    to a from-scratch fresh solve
+//   skip-equiv       every destination group the pre-check skipped is
+//                    answered identically by a full MaxSMT solve: outcome
+//                    ok, an empty patch, no violated objective, the same
+//                    satisfied objectives (checked without objectives and
+//                    with a NOMODIFY/EQUATE/ELIMINATE mix)
 //
 // Metamorphic invariants (input transformations that must not change
 // verdicts):
@@ -54,6 +59,7 @@ enum class Invariant : unsigned {
   kResynthNoOp = 1u << 5,
   kPolicyOrder = 1u << 6,
   kRouterOrder = 1u << 7,
+  kSkipEquiv = 1u << 8,
 };
 
 using InvariantMask = unsigned;
@@ -67,14 +73,16 @@ constexpr InvariantMask kAllInvariants =
     mask(Invariant::kSynthSound) | mask(Invariant::kSimDifferential) |
     mask(Invariant::kJournalRollback) | mask(Invariant::kStagedVsOneShot) |
     mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp) |
-    mask(Invariant::kPolicyOrder) | mask(Invariant::kRouterOrder);
+    mask(Invariant::kPolicyOrder) | mask(Invariant::kRouterOrder) |
+    mask(Invariant::kSkipEquiv);
 
-/// Invariants costing at most one synthesis run. kIncrementalEquiv and
-/// kResynthNoOp each pay a second full solve; the fuzz driver runs them on
-/// a deterministic subset of seeds so smoke sweeps stay fast.
+/// Invariants costing at most one synthesis run. kIncrementalEquiv,
+/// kResynthNoOp and kSkipEquiv each pay second full solves; runFuzz
+/// runs them on a deterministic subset of seeds so smoke sweeps stay fast.
 constexpr InvariantMask kCheapInvariants =
     kAllInvariants &
-    ~(mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp));
+    ~(mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp) |
+      mask(Invariant::kSkipEquiv));
 
 /// Stable kebab-case identifier, e.g. "journal-rollback".
 const char* invariantName(Invariant inv);

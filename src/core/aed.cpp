@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -42,6 +43,16 @@ SubResult failedSubResult(SubOutcome outcome, ErrorCode code,
   result.code = code;
   result.detail = detail;
   return result;
+}
+
+/// Is subproblem `i` the target of a per-subproblem fault (throw, delay,
+/// unknown)? Such a group is always solved, so the fault fires.
+bool poisoned(const FaultInjection& fault, std::size_t i) {
+  const bool perSubproblem = fault.kind == FaultInjection::Kind::kThrow ||
+                             fault.kind == FaultInjection::Kind::kDelay ||
+                             fault.kind == FaultInjection::Kind::kUnknown;
+  return perSubproblem && fault.subproblem >= 0 &&
+         static_cast<std::size_t>(fault.subproblem) == i;
 }
 
 // Latency/effort histograms (§12). Handles are cached once (function-local
@@ -180,7 +191,7 @@ void publishStats(const AedResult& result) {
   static const char* const kRungCounterNames[] = {
       "smt.rung.none",          "smt.rung.warm_start", "smt.rung.full",
       "smt.rung.no_minimality", "smt.rung.hard_only",  "smt.rung.unsat",
-      "smt.rung.gave_up",
+      "smt.rung.gave_up",       "smt.rung.precheck",
   };
   for (std::size_t r = 1; r < stats.rungCounts.size(); ++r) {
     metrics.add(kRungCounterNames[r], static_cast<double>(stats.rungCounts[r]));
@@ -279,7 +290,6 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
   };
 
   // ---- partition into subproblems -----------------------------------------
-  AedOptions effective = options;
   std::vector<PolicySet> groups;
   std::vector<std::string> destinations;
   if (options.perDestination) {
@@ -287,13 +297,11 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       groups.push_back(set);
       destinations.push_back(dst.str());
     }
-    // Confine each subproblem to destination-local changes so parallel
-    // solutions cannot conflict (§8; see SketchOptions::destinationScoped).
-    if (groups.size() > 1) effective.sketch.destinationScoped = true;
   } else if (!policies.empty()) {
     groups.push_back(policies);
     destinations.push_back("*");
   }
+  const AedOptions effective = subproblemOptions(options, groups.size());
   result.stats.subproblems = groups.size();
   Progress::setPhase("solve");
   Progress::setRound(0);
@@ -432,6 +440,40 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
           ? options.workers
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
+  // ---- pre-check (DESIGN.md §13) -------------------------------------------
+  // One simulation pass over the input tree finds the groups whose policies
+  // already hold. Round 0 offers each of them the SubproblemSolver fast
+  // path, which proves from the sketch alone that the empty patch is the
+  // group's optimum, or falls through to the full solve. The engine built
+  // here is the one validation re-binds: the first rebind is relative to
+  // the empty patch, so only destinations the merged patch touches are
+  // recomputed. The engine runs on this thread (one worker): a pool of its
+  // own would stay alive through the solve rounds and pin the malloc arenas
+  // its threads touched while the Z3 workers allocate in fresh ones, which
+  // raised peak RSS (EXPERIMENTS.md, "Update benchmark"); and these
+  // simulations take milliseconds, less than the pool's hand-off costs. A
+  // cancelled run skips the stage and reports every group as cancelled.
+  std::vector<bool> clean(groups.size(), false);
+  if (!groups.empty() && !cancelled()) {
+    AED_SPAN("aed.precheck");
+    const auto precheckStart = Clock::now();
+    simEngine = std::make_unique<SimulationEngine>(
+        tree, /*workers=*/1, options.simCacheMaxEntries);
+    std::set<Ipv4Prefix> dirty;
+    for (const Policy& policy : simEngine->violations(policies)) {
+      dirty.insert(policy.cls.dst);
+    }
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      clean[i] = !poisoned(options.faultInjection, i) &&
+                 std::none_of(groups[i].begin(), groups[i].end(),
+                              [&dirty](const Policy& policy) {
+                                return dirty.count(policy.cls.dst) != 0;
+                              });
+    }
+    result.stats.simulate = simEngine->cacheStats();
+    result.stats.firstRound.simulateSeconds += secondsSince(precheckStart);
+  }
+
   for (int round = 0; round <= options.maxRepairIterations; ++round) {
     // Solve all pending subproblems (in parallel when enabled).
     std::vector<std::size_t> pending;
@@ -457,11 +499,17 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
 
     // Split the remaining global budget across the queued subproblems: each
     // of the ceil(pending/workers) sequential batches gets an equal share.
+    // Clean groups in round 0 are expected to take the pre-check fast path
+    // and are not counted.
     std::uint64_t perSubproblemMs = Deadline::kForeverMs;
     if (!globalDeadline.isUnlimited()) {
+      const std::size_t toSolve = std::max<std::size_t>(
+          1, static_cast<std::size_t>(std::count_if(
+                 pending.begin(), pending.end(),
+                 [&](std::size_t i) { return round != 0 || !clean[i]; })));
       const std::size_t lanes = std::min<std::size_t>(
-          std::max<std::size_t>(1, workers), pending.size());
-      const std::size_t batches = (pending.size() + lanes - 1) / lanes;
+          std::max<std::size_t>(1, workers), toSolve);
+      const std::size_t batches = (toSolve + lanes - 1) / lanes;
       perSubproblemMs =
           std::max<std::uint64_t>(1, globalDeadline.remainingMillis() /
                                          std::max<std::size_t>(1, batches));
@@ -491,10 +539,7 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       if (span.active()) span.setDetail("dst=" + destinations[i]);
       try {
         const FaultInjection& fault = options.faultInjection;
-        const bool injected =
-            fault.kind != FaultInjection::Kind::kNone &&
-            fault.subproblem >= 0 &&
-            static_cast<std::size_t>(fault.subproblem) == i;
+        const bool injected = poisoned(fault, i);
         if (injected && fault.kind == FaultInjection::Kind::kThrow) {
           throw AedError(ErrorCode::kSubproblemFailed,
                          "fault injection: subproblem " + std::to_string(i) +
@@ -520,9 +565,17 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         if (solvers[i] == nullptr || !effective.incrementalResolve) {
           solvers[i] = freshSolver(i);
         }
-        subResults[i] = solvers[i]->solve(
-            blocked, deadline,
-            injected && fault.kind == FaultInjection::Kind::kUnknown);
+        std::optional<SubResult> skipped;
+        if (round == 0 && clean[i]) skipped = solvers[i]->precheck();
+        if (skipped) {
+          // Nothing left to solve for this group: its sketch can go.
+          subResults[i] = std::move(*skipped);
+          solvers[i].reset();
+        } else {
+          subResults[i] = solvers[i]->solve(
+              blocked, deadline,
+              injected && fault.kind == FaultInjection::Kind::kUnknown);
+        }
       } catch (const AedError& e) {
         // A throwing solver may hold a poisoned Z3 state; rebuild it before
         // any future re-solve of this group.
@@ -603,12 +656,15 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       // latency/effort distributions and ladder-rung outcomes.
       histSubproblemSeconds().record(sub.seconds);
       if (sub.rung != SolveRung::kNone) {
+        ++result.stats.rungCounts[static_cast<std::size_t>(sub.rung)];
+      }
+      // A pre-checked group ran no solver check: nothing to record.
+      if (sub.rung != SolveRung::kNone && sub.rung != SolveRung::kPrecheck) {
         histCheckSeconds().record(sub.phases.solveSeconds);
         histConflicts().record(
             static_cast<double>(sub.solverStats.conflicts));
         histDecisions().record(
             static_cast<double>(sub.solverStats.decisions));
-        ++result.stats.rungCounts[static_cast<std::size_t>(sub.rung)];
         solverTotals[i].accumulate(sub.solverStats);
       }
     }
@@ -693,7 +749,7 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       if (options.memoizedSimulator) {
         if (simEngine == nullptr) {
           simEngine = std::make_unique<SimulationEngine>(
-              updated, options.workers, options.simCacheMaxEntries);
+              updated, /*workers=*/1, options.simCacheMaxEntries);
         } else {
           simEngine->rebind(updated, {&lastMerged, &merged});
         }

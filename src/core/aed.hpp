@@ -19,6 +19,12 @@
 // cycles), the offending delta combination is blocked and the affected
 // subproblem re-solved, up to maxRepairIterations times.
 //
+// Incremental work (DESIGN.md §13): before round 0, one simulation pass over
+// the input tree finds the destination groups whose policies already hold.
+// Such a group is never handed to Z3 when its empty patch is provably the
+// optimum; it reports outcome kOk at rung SolveRung::kPrecheck. The cost of
+// a run therefore follows the number of dirty groups, not the network size.
+//
 // Resilience (the failure model; see DESIGN.md "Failure model & degradation
 // ladder"): subproblems are fault-isolated — one destination that throws,
 // times out, or goes unknown never discards sibling work. A global
@@ -110,10 +116,11 @@ struct AedOptions {
   bool validateWithSimulator = true;
   int maxRepairIterations = 3;
 
-  /// Validate with the memoized, parallel SimulationEngine instead of a
-  /// fresh serial Simulator each round. The engine persists across repair
-  /// rounds and invalidates only the destinations affected by the round's
-  /// merged patch, so repeat validations mostly hit the route-table cache.
+  /// Validate with the memoized SimulationEngine instead of a fresh serial
+  /// Simulator each round. The engine is the pre-check's (DESIGN.md §13);
+  /// it persists across repair rounds and invalidates only the destinations
+  /// affected by the round's merged patch, so repeat validations mostly hit
+  /// the route-table cache.
   /// Verdicts are bit-identical either way (asserted by tests); false keeps
   /// the from-scratch oracle for A/B benchmarking.
   bool memoizedSimulator = true;
@@ -234,12 +241,15 @@ struct AedStats {
   std::size_t warmStartSolves = 0;
 
   /// Ladder-rung outcome counts across every solve of the run (one count per
-  /// SmtSession::check call that returned; mirrored as smt.rung.* counters).
+  /// SmtSession::check call that returned, plus one kPrecheck count per
+  /// group the pre-check skipped; mirrored as smt.rung.* counters).
   /// Indexed by static_cast<size_t>(SolveRung).
-  std::array<std::size_t, 7> rungCounts{};
+  std::array<std::size_t, 8> rungCounts{};
 
-  /// Simulation-engine cache behavior across all validation rounds (zeroed
-  /// when memoizedSimulator is off or validation never ran).
+  /// Simulation-engine cache behavior across the pre-check pass and every
+  /// validation round (validation rounds are not counted when
+  /// memoizedSimulator is off; zeroed when the pre-check did not run either,
+  /// i.e. for an empty policy set or a run cancelled before it started).
   SimCacheStats simulate;
 };
 

@@ -19,6 +19,12 @@ double secondsSince(Clock::time_point start) {
 
 }  // namespace
 
+AedOptions subproblemOptions(const AedOptions& options, std::size_t groups) {
+  AedOptions effective = options;
+  if (groups > 1) effective.sketch.destinationScoped = true;
+  return effective;
+}
+
 SubproblemSolver::SubproblemSolver(const ConfigTree& tree,
                                    const Topology& topo, PolicySet policies,
                                    std::vector<Objective> objectives,
@@ -31,15 +37,44 @@ SubproblemSolver::SubproblemSolver(const ConfigTree& tree,
 
 SubproblemSolver::~SubproblemSolver() = default;
 
+void SubproblemSolver::ensureSketch(SubproblemPhases& phases) {
+  if (sketch_) return;
+  const auto phaseStart = Clock::now();
+  AED_SPAN("subsolver.sketch");
+  sketch_.emplace(buildSketch(tree_, topo_, policies_, options_.sketch));
+  phases.sketchSeconds = secondsSince(phaseStart);
+}
+
+std::optional<SubResult> SubproblemSolver::precheck() {
+  const auto start = Clock::now();
+  SubResult result;
+  ensureSketch(result.phases);
+  // The solve() that follows a refusal reports the sketch time.
+  carriedSketchSeconds_ = result.phases.sketchSeconds;
+  // Without minimality softs an assignment with gratuitous active deltas
+  // ties with the empty patch, so the empty patch is not the unique optimum.
+  if (!options_.defaultMinimality) return std::nullopt;
+  for (DesugaredObjective& objective :
+       desugarObjectives(*sketch_, tree_, objectives_)) {
+    if (!objective.holdsUnchanged) return std::nullopt;
+    result.satisfied.push_back(std::move(objective.label));
+  }
+  carriedSketchSeconds_ = 0.0;
+  result.outcome = SubOutcome::kOk;
+  result.sat = true;
+  result.deltaCount = sketch_->deltas().size();
+  result.rung = SolveRung::kPrecheck;
+  result.rungReason =
+      "policies already hold and the empty patch satisfies every objective";
+  result.detail = "skipped: policies already hold";
+  result.seconds = secondsSince(start);
+  return result;
+}
+
 void SubproblemSolver::ensureEncoded(SubResult& result) {
   if (encoder_ != nullptr) return;
 
-  auto phaseStart = Clock::now();
-  {
-    AED_SPAN("subsolver.sketch");
-    sketch_.emplace(buildSketch(tree_, topo_, policies_, options_.sketch));
-  }
-  result.phases.sketchSeconds = secondsSince(phaseStart);
+  ensureSketch(result.phases);
 
   session_ = std::make_unique<SmtSession>();
   session_->setAnytime(options_.anytime);
@@ -47,7 +82,7 @@ void SubproblemSolver::ensureEncoded(SubResult& result) {
     session_->randomizePhase(options_.randomPhaseSeed);
   }
 
-  phaseStart = Clock::now();
+  const auto phaseStart = Clock::now();
   AED_SPAN("subsolver.encode");
   encoder_ = std::make_unique<Encoder>(*session_, tree_, topo_, *sketch_,
                                        options_.encoder);
@@ -73,6 +108,10 @@ SubResult SubproblemSolver::solve(
     const Deadline& deadline, bool injectUnknown) {
   const auto start = Clock::now();
   SubResult result;
+  // Time an unsuccessful precheck() spent on the sketch counts as this
+  // solve's.
+  const double carried = std::exchange(carriedSketchSeconds_, 0.0);
+  result.phases.sketchSeconds = carried;
 
   ensureEncoded(result);
   result.deltaCount = sketch_->deltas().size();
@@ -130,7 +169,7 @@ SubResult SubproblemSolver::solve(
       result.code = ErrorCode::kSolverUnknown;
       result.detail = "solver answered " + check.status;
     }
-    result.seconds = secondsSince(start);
+    result.seconds = carried + secondsSince(start);
     return result;
   }
 
@@ -166,7 +205,7 @@ SubResult SubproblemSolver::solve(
   for (const std::string& label : check.violatedObjectives) {
     if (label.rfind("min-change:", 0) != 0) result.violated.push_back(label);
   }
-  result.seconds = secondsSince(start);
+  result.seconds = carried + secondsSince(start);
   return result;
 }
 

@@ -69,6 +69,12 @@ struct SubResult {
   SolverStats solverStats;
 };
 
+/// The options synthesize() gives every SubproblemSolver when the policy
+/// set splits into `groups` destination groups: with more than one group,
+/// each sketch is confined to destination-local changes so parallel
+/// solutions cannot conflict (§8; see SketchOptions::destinationScoped).
+AedOptions subproblemOptions(const AedOptions& options, std::size_t groups);
+
 class SubproblemSolver {
  public:
   /// `tree` and `topo` must outlive the solver; policies/objectives/options
@@ -93,10 +99,22 @@ class SubproblemSolver {
       const std::vector<std::vector<std::string>>& blockedDeltaSets,
       const Deadline& deadline, bool injectUnknown = false);
 
+  /// Pre-check fast path (DESIGN.md §13), for a group whose policies
+  /// already hold on the input tree. Builds only the sketch and returns the
+  /// proven optimum when the empty patch is it: per-delta minimality is on
+  /// (so any active delta costs weight) and every desugared user objective
+  /// holds with every delta off. That answer is outcome kOk, an empty patch,
+  /// every objective label satisfied, rung kPrecheck — and no z3::context is
+  /// ever created. Otherwise returns nullopt and keeps the sketch for the
+  /// solve() that must follow.
+  std::optional<SubResult> precheck();
+
   /// Completed solve() calls; 0 means the next call pays sketch + encode.
   int rounds() const { return rounds_; }
 
  private:
+  /// Builds the sketch unless precheck() already did.
+  void ensureSketch(SubproblemPhases& phases);
   /// Builds the sketch, session, encoding, and objective softs (first call).
   void ensureEncoded(SubResult& result);
 
@@ -112,6 +130,9 @@ class SubproblemSolver {
   std::optional<Sketch> sketch_;
   std::unique_ptr<Encoder> encoder_;
 
+  /// Sketch build time of an unsuccessful precheck(), reported by the next
+  /// solve().
+  double carriedSketchSeconds_ = 0.0;
   /// Prefix of the shared blocked-delta list already asserted as hard
   /// clauses in the live solver.
   std::size_t blockedApplied_ = 0;

@@ -7,15 +7,38 @@
 //               deltas;
 //   EQUATE    — equality of the delta (and action-value) variables at
 //               corresponding positions across the subtrees of the group.
+//
+// desugarObjectives() performs the same desugaring over a sketch alone, with
+// no encoder and no Z3: it yields the labels addObjectives() would register
+// and whether each soft constraint holds with every delta off. The
+// pre-check (DESIGN.md §13) uses it to prove the empty patch optimal.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "conftree/tree.hpp"
 #include "encode/encoder.hpp"
 #include "objectives/objective.hpp"
+#include "sketch/sketch.hpp"
 
 namespace aed {
+
+/// One desugared objective as the pre-check sees it.
+struct DesugaredObjective {
+  std::string label;  // identical to the label addObjectives() registers
+  /// The soft constraint holds when every delta is inactive (the empty
+  /// patch). Judged on the concrete tree; false also means "not proven".
+  bool holdsUnchanged = false;
+};
+
+/// Desugars `objectives` over `sketch` exactly as addObjectives() does, one
+/// entry per soft constraint and in the same order, without an encoder.
+/// `tree` must be the tree the sketch was built from: EQUATE compares the
+/// current local-preference values of aligned rules in it.
+std::vector<DesugaredObjective> desugarObjectives(
+    const Sketch& sketch, const ConfigTree& tree,
+    const std::vector<Objective>& objectives);
 
 /// Adds one soft constraint per desugared objective to the encoder's
 /// session. Returns the labels registered (one per desugared objective),

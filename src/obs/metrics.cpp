@@ -39,6 +39,12 @@ std::size_t MetricsRegistry::bucketIndex(double value) {
 
 double MetricsRegistry::quantile(const Sample& sample, double q) {
   if (sample.count == 0 || sample.buckets.empty()) return 0.0;
+  // The interpolated estimate stays inside the covering bucket, which can
+  // reach past the extreme samples (up to 2x); the true quantile cannot.
+  const auto clampToRange = [&sample](double estimate) {
+    if (sample.min > sample.max) return estimate;  // extremes unknown
+    return std::clamp(estimate, sample.min, sample.max);
+  };
   q = std::clamp(q, 0.0, 1.0);
   // Rank of the target observation (1-based, ceil) in cumulative order.
   const double target =
@@ -55,13 +61,13 @@ double MetricsRegistry::quantile(const Sample& sample, double q) {
     // finite upper edge; report its lower edge (a lower bound on the truth).
     const double lo = bucketLowerBound(i);
     const double hi = bucketUpperBound(i);
-    if (!std::isfinite(hi)) return lo;
+    if (!std::isfinite(hi)) return clampToRange(lo);
     const double fraction =
         (target - static_cast<double>(cumulative)) /
         static_cast<double>(inBucket);
-    return lo + (hi - lo) * std::clamp(fraction, 0.0, 1.0);
+    return clampToRange(lo + (hi - lo) * std::clamp(fraction, 0.0, 1.0));
   }
-  return bucketLowerBound(sample.buckets.size() - 1);
+  return clampToRange(bucketLowerBound(sample.buckets.size() - 1));
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -116,6 +122,8 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
     sample.count = cell.count.load(std::memory_order_relaxed);
     sample.sum = cell.sum.load(std::memory_order_relaxed);
     sample.value = static_cast<double>(sample.count);
+    sample.min = cell.min.load(std::memory_order_relaxed);
+    sample.max = cell.max.load(std::memory_order_relaxed);
     sample.buckets.resize(kHistogramBuckets);
     for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
       sample.buckets[i] = cell.buckets[i].load(std::memory_order_relaxed);
@@ -139,6 +147,7 @@ void MetricsRegistry::merge(const std::vector<Sample>& samples) {
       }
       hist.cell_->count.fetch_add(sample.count, std::memory_order_relaxed);
       hist.cell_->sum.fetch_add(sample.sum, std::memory_order_relaxed);
+      hist.cell_->noteExtremes(sample.min, sample.max);
       continue;
     }
     const Metric metric = intern(sample.name, sample.kind);
@@ -161,6 +170,10 @@ void MetricsRegistry::reset() {
     }
     cell.count.store(0, std::memory_order_relaxed);
     cell.sum.store(0.0, std::memory_order_relaxed);
+    cell.min.store(std::numeric_limits<double>::infinity(),
+                   std::memory_order_relaxed);
+    cell.max.store(-std::numeric_limits<double>::infinity(),
+                   std::memory_order_relaxed);
   }
 }
 

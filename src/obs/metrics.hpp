@@ -26,13 +26,17 @@
 // above 2^33 (~8.6e9). 64 buckets cover sub-nanosecond latencies through
 // billions-scale solver conflict counts with < 2x relative error, and the
 // record path is one std::ilogb plus three relaxed atomic adds (the <100 ns
-// budget asserted by bench_obs). Quantiles (p50/p90/p99) are estimated by
-// linear interpolation inside the covering bucket.
+// budget asserted by bench_obs). Each histogram also tracks the smallest
+// and largest recorded value (a compare-exchange only when a new extreme
+// arrives). Quantiles (p50/p90/p99) are estimated by linear interpolation
+// inside the covering bucket, then clamped to [min, max]: an estimate never
+// exceeds the largest sample nor undercuts the smallest (DESIGN.md §12).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -94,6 +98,7 @@ class MetricsRegistry {
           1, std::memory_order_relaxed);
       cell_->count.fetch_add(1, std::memory_order_relaxed);
       cell_->sum.fetch_add(value, std::memory_order_relaxed);
+      cell_->noteExtremes(value, value);
     }
     std::uint64_t count() const {
       return cell_ != nullptr
@@ -107,6 +112,21 @@ class MetricsRegistry {
       std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
       std::atomic<std::uint64_t> count{0};
       std::atomic<double> sum{0.0};
+      std::atomic<double> min{std::numeric_limits<double>::infinity()};
+      std::atomic<double> max{-std::numeric_limits<double>::infinity()};
+
+      /// Lowers min to `low` and raises max to `high` where they extend the
+      /// recorded range; a plain load when they do not.
+      void noteExtremes(double low, double high) {
+        double seen = min.load(std::memory_order_relaxed);
+        while (low < seen && !min.compare_exchange_weak(
+                                 seen, low, std::memory_order_relaxed)) {
+        }
+        seen = max.load(std::memory_order_relaxed);
+        while (high > seen && !max.compare_exchange_weak(
+                                  seen, high, std::memory_order_relaxed)) {
+        }
+      }
     };
     explicit Histogram(Cell* cell) : cell_(cell) {}
     Cell* cell_ = nullptr;
@@ -120,10 +140,15 @@ class MetricsRegistry {
     std::uint64_t count = 0;
     double sum = 0.0;
     std::vector<std::uint64_t> buckets;
+    /// Smallest / largest recorded value; +inf / -inf when unknown (no
+    /// samples, or a sample built without them).
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
   };
 
   /// Quantile estimate (q in [0,1]) from a histogram sample's buckets via
-  /// linear interpolation inside the covering bucket; 0 when count == 0.
+  /// linear interpolation inside the covering bucket, clamped to the
+  /// sample's [min, max] when known; 0 when count == 0.
   static double quantile(const Sample& sample, double q);
 
   MetricsRegistry() = default;

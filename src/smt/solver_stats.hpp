@@ -15,7 +15,8 @@ namespace aed {
 
 /// Which rung of the solve ladder produced the answer for a subproblem
 /// (DESIGN.md §5/§6): the warm-start plain-SAT probe, the full MaxSMT
-/// optimum, or one of the anytime degradation rungs.
+/// optimum, one of the anytime degradation rungs, or the pre-check that
+/// proved the empty patch optimal without a solver (DESIGN.md §13).
 enum class SolveRung {
   kNone,          // no check ran (e.g. nothing to solve)
   kWarmStart,     // plain-SAT probe at the previous optimum's cost bound
@@ -24,6 +25,8 @@ enum class SolveRung {
   kHardOnly,      // degraded: plain SAT over hard constraints
   kUnsat,         // hard constraints unsatisfiable (no rung can help)
   kGaveUp,        // every rung timed out / returned unknown
+  kPrecheck,      // policies already hold and the empty patch satisfies
+                  // every objective: the optimum, proven without Z3
 };
 
 inline const char* solveRungName(SolveRung rung) {
@@ -35,6 +38,7 @@ inline const char* solveRungName(SolveRung rung) {
     case SolveRung::kHardOnly: return "hard-only";
     case SolveRung::kUnsat: return "unsat";
     case SolveRung::kGaveUp: return "gave-up";
+    case SolveRung::kPrecheck: return "precheck";
   }
   return "none";
 }

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <new>
@@ -592,6 +593,64 @@ TEST_F(ObsTest, HistogramQuantilesMergeResetAndSummaryTable) {
   EXPECT_EQ(hist.count(), 1u);
 }
 
+TEST_F(ObsTest, HistogramQuantilesNeverLeaveTheSampleRange) {
+  MetricsRegistry registry;
+  const MetricsRegistry::Histogram hist = registry.histogram("t.latency");
+  // Every sample sits in the [0.5, 1) bucket, whose interpolated p99 used to
+  // read its upper edge, 1.0 s — above anything recorded.
+  for (const double v : {0.55, 0.6, 0.62, 0.7, 0.71}) hist.record(v);
+  const MetricsRegistry::Sample sample = registry.snapshot().at(0);
+  EXPECT_DOUBLE_EQ(sample.min, 0.55);
+  EXPECT_DOUBLE_EQ(sample.max, 0.71);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    const double estimate = MetricsRegistry::quantile(sample, q);
+    EXPECT_GE(estimate, 0.55) << q;
+    EXPECT_LE(estimate, 0.71) << q;
+  }
+  EXPECT_DOUBLE_EQ(MetricsRegistry::quantile(sample, 0.99), 0.71);
+
+  // A single repeated value is reported exactly.
+  MetricsRegistry single;
+  for (int i = 0; i < 10; ++i) single.record("t.one", 0.3);
+  EXPECT_DOUBLE_EQ(MetricsRegistry::quantile(single.snapshot().at(0), 0.5),
+                   0.3);
+
+  // Merge combines the extremes; reset forgets them.
+  MetricsRegistry merged;
+  merged.record("t.latency", 0.01);
+  merged.merge(registry.snapshot());
+  const MetricsRegistry::Sample both = merged.snapshot().at(0);
+  EXPECT_DOUBLE_EQ(both.min, 0.01);
+  EXPECT_DOUBLE_EQ(both.max, 0.71);
+  EXPECT_LE(MetricsRegistry::quantile(both, 0.99), 0.71);
+  merged.reset();
+  merged.record("t.latency", 2.0);
+  const MetricsRegistry::Sample after = merged.snapshot().at(0);
+  EXPECT_DOUBLE_EQ(after.min, 2.0);
+  EXPECT_DOUBLE_EQ(after.max, 2.0);
+
+  // Concurrent records keep exact extremes (the compare-exchange loops).
+  MetricsRegistry shared;
+  const MetricsRegistry::Histogram sharedHist = shared.histogram("t.shared");
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < 4; ++t) {
+    recorders.emplace_back([&sharedHist, t] {
+      for (int i = 1; i <= 1000; ++i) sharedHist.record(i * 0.001 + t);
+    });
+  }
+  for (auto& recorder : recorders) recorder.join();
+  const MetricsRegistry::Sample raced = shared.snapshot().at(0);
+  EXPECT_EQ(raced.count, 4000u);
+  EXPECT_DOUBLE_EQ(raced.min, 0.001);
+  EXPECT_DOUBLE_EQ(raced.max, 4.0);
+
+  // A sample built without extremes keeps the unclamped bucket estimate.
+  MetricsRegistry::Sample bare = sample;
+  bare.min = std::numeric_limits<double>::infinity();
+  bare.max = -std::numeric_limits<double>::infinity();
+  EXPECT_GT(MetricsRegistry::quantile(bare, 0.99), 0.71);
+}
+
 // ---- machine-readable export ------------------------------------------------
 
 TEST_F(ObsTest, PrometheusExportIsWellFormed) {
@@ -960,13 +1019,27 @@ TEST_F(ObsTest, SolverStatsSurfaceInSubproblemReports) {
   EXPECT_EQ(result.stats.rungCounts[static_cast<std::size_t>(
                 SolveRung::kNone)],
             0u);
+  std::size_t solved = 0;
   for (const SubproblemReport& report : result.subproblems) {
     EXPECT_NE(report.rung, SolveRung::kNone) << report.destination;
     EXPECT_NE(std::string(solveRungName(report.rung)), "none");
+    if (report.rung == SolveRung::kPrecheck) {
+      // Skipped by the pre-check: no solver ran.
+      EXPECT_EQ(report.outcome, SubOutcome::kOk) << report.destination;
+      EXPECT_EQ(report.solverStats.checks, 0u) << report.destination;
+      continue;
+    }
+    ++solved;
     EXPECT_GE(report.solverStats.checks, 1u) << report.destination;
     EXPECT_GT(report.solverStats.vars, 0u) << report.destination;
     EXPECT_GT(report.solverStats.assertions, 0u) << report.destination;
   }
+  // Figure 1: P3's destination is violated and must be solved; P1 and P2
+  // already hold, so their group is skipped.
+  EXPECT_EQ(solved, 1u);
+  EXPECT_EQ(result.stats.rungCounts[static_cast<std::size_t>(
+                SolveRung::kPrecheck)],
+            result.subproblems.size() - solved);
 }
 
 TEST_F(ObsTest, DegradationLadderReportsTheAnsweringRungAndWhy) {
@@ -1012,6 +1085,7 @@ TEST_F(ObsTest, SnapshotContainsEveryKnownStatFamily) {
            // degradation-ladder outcome counts (mirrored even at zero)
            "smt.rung.warm_start", "smt.rung.full", "smt.rung.no_minimality",
            "smt.rung.hard_only", "smt.rung.unsat", "smt.rung.gave_up",
+           "smt.rung.precheck",
            // simulation cache accounting, incl. eviction/quarantine
            "sim.route_hits", "sim.route_misses", "sim.evictions",
            "sim.quarantined_tables",
